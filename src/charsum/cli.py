@@ -639,6 +639,33 @@ def _load_config(path: str) -> dict:
     return out
 
 
+_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
+             "0": False, "false": False, "no": False, "off": False}
+
+
+def _parse_with_config(ap: argparse.ArgumentParser, argv: list, cfg: dict):
+    """Parse argv with config values as flags; argparse types and checks them.
+
+    A key that names no option of the subcommand is ignored, as is one whose
+    flag is given on the command line.  Boolean switches take true/false,
+    yes/no, on/off or 1/0.
+    """
+    args = ap.parse_args(argv)
+    extra = []
+    for k, raw in cfg.items():
+        flag = f"--{k.replace('_', '-')}"
+        if k in ("cmd", "fn") or not hasattr(args, k) or flag in argv:
+            continue
+        if isinstance(getattr(args, k), bool):
+            if raw.lower() not in _BOOLEANS:
+                ap.error(f"config value {k}={raw!r} is not a boolean")
+            if _BOOLEANS[raw.lower()]:
+                extra.append(flag)
+        else:
+            extra.append(f"{flag}={raw}")
+    return ap.parse_args(argv + extra)
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="charsum", description=__doc__)
     ap.add_argument("--config", help="key=value config file (flags take precedence)")
@@ -694,12 +721,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     # config file values become defaults; explicit flags win
     if "--config" in argv:
         cfg_path = argv[argv.index("--config") + 1]
-        cfg = _load_config(cfg_path)
-        ns, _ = ap.parse_known_args(argv)
-        for k, v in cfg.items():
-            if hasattr(ns, k) and f"--{k.replace('_', '-')}" not in argv:
-                setattr(ns, k, type(getattr(ns, k))(v) if getattr(ns, k) is not None else v)
-        args = ns
+        args = _parse_with_config(ap, argv, _load_config(cfg_path))
     else:
         args = ap.parse_args(argv)
     try:

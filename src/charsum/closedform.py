@@ -78,12 +78,10 @@ def eval_cubic_cm(n: int, a: int, p, conventions: Optional[dict] = None) -> SumV
         return SumValue(0, method="cubic_cm/inert", parts=(("u", 0),))
     rule = cm.rule_name_for(n, conventions)
     reps = cm.representations_4p(n, p)
+    base = cm.base_trace(n, p, reps, rule)
     chi_a = legendre(a, p)
     if n in (1, 3):
         w = 4 if n == 1 else 6
-        base = cm.RULES[rule](n, p, reps)
-        if base is None:
-            raise RuntimeError(f"rule {rule!r} indecisive at n={n}, p={p}")
         tau = base * pow(a % p, (p - 1) // w, p) % p
         hits = [s * r.u for r in reps for s in (1, -1) if (s * r.u) % p == tau]
         if len(hits) != 1:
@@ -94,9 +92,8 @@ def eval_cubic_cm(n: int, a: int, p, conventions: Optional[dict] = None) -> SumV
             method=f"cubic_cm/{rule}",
             parts=(("u", value * chi_a), ("chi_a", chi_a), ("base", base)),
         )
-    u = cm.normalized_u(n, p, conventions)
     return SumValue(
-        chi_a * u, method=f"cubic_cm/{rule}", parts=(("u", u), ("chi_a", chi_a))
+        chi_a * base, method=f"cubic_cm/{rule}", parts=(("u", base), ("chi_a", chi_a))
     )
 
 
@@ -479,7 +476,8 @@ def evaluate(
 ) -> SumValue:
     """Evaluate S(f), trying closed forms by degree and shape.
 
-    method="closed" raises NotSplitError instead of falling back;
+    method="closed" raises NotSplitError instead of falling back (and
+    returns a certified residue-only value as it stands);
     method="oracle" skips the closed forms entirely.
     """
     if method == "oracle":
@@ -505,7 +503,10 @@ def evaluate(
             return eval_split_cubic(f, seed=seed)
         mono = _match_monomial_plus_const(f)
         if mono is not None and (p - 1) % (2 * mono[0]) == 0:
-            return eval_power_2k(mono[0], mono[1], p)
+            sv = eval_power_2k(mono[0], mono[1], p)
+            # a residue-only value goes on to the exact paths below
+            if not sv.residue_only or method == "closed":
+                return sv
         if d == 4:
             return quartic_reduce(f, seed=seed)
         if d == 6 and f.leading == 1 and not any(f.coeffs[1::2]):

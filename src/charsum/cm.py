@@ -8,6 +8,8 @@ congruence mod p handled in the closed-form evaluators.
 
 Sign conventions are pinned against the direct-summation oracle and
 shipped as a data file (regenerate with ``charsum verify --pin-conventions``).
+Where no constant-time congruence fits (n = 2, 11) the sign comes from the
+group-order certificate of the ec module, which is O(log p) and exact.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from functools import lru_cache
 from importlib import resources
 from typing import Callable, Optional
 
+from . import ec, families
 from .algebra import as_modulus, half_factorials_mod, kronecker, legendre, sqrt_mod
 
 VALID_N = (1, 2, 3, 7, 11, 19, 43, 67, 163)
@@ -103,8 +106,10 @@ def _scan_form(m: int, n: int) -> list[tuple[int, int]]:
 def cornacchia(d: int, p: int) -> Optional[tuple[int, int]]:
     """One solution (x > 0, y > 0) of x^2 + d y^2 = p, if any (d >= 1)."""
     r = sqrt_mod((-d) % p, p)
-    if r is None:
-        return None
+    return None if r is None else _cornacchia_from_root(d, p, r)
+
+
+def _cornacchia_from_root(d: int, p: int, r: int) -> Optional[tuple[int, int]]:
     r = max(r, p - r)
     a, b = p, r
     limit = math.isqrt(p)
@@ -128,8 +133,10 @@ def cornacchia_4p(n: int, p: int) -> Optional[tuple[int, int]]:
     if n % 4 != 3:
         return None
     x0 = sqrt_mod((-n) % p, p)
-    if x0 is None:
-        return None
+    return None if x0 is None else _cornacchia_4p_from_root(n, p, x0)
+
+
+def _cornacchia_4p_from_root(n: int, p: int, x0: int) -> Optional[tuple[int, int]]:
     if x0 % 2 == 0:
         x0 = p - x0
     a, b = 2 * p, x0
@@ -147,11 +154,14 @@ def cornacchia_4p(n: int, p: int) -> Optional[tuple[int, int]]:
 
 def _cornacchia_4p_all(n: int, p: int) -> list[tuple[int, int]]:
     """Representation set of 4p via Cornacchia plus the unit action."""
+    root = sqrt_mod((-n) % p, p)  # shared by both descents
+    if root is None:
+        return []
     found: set[tuple[int, int]] = set()
-    base = cornacchia(n, p)
+    base = _cornacchia_from_root(n, p, root)
     if base is not None:
         found.add((2 * base[0], 2 * base[1]))
-    odd = cornacchia_4p(n, p)
+    odd = _cornacchia_4p_from_root(n, p, root) if n % 4 == 3 else None
     if odd is not None:
         found.add(odd)
     if n == 1:
@@ -246,8 +256,6 @@ def base_trace_residue(n: int, p: int) -> int:
     selector for families where no low-height congruence rule exists, and
     as a cross-check for the fast rules everywhere else.
     """
-    from . import families  # deferred: families does not import cm
-
     m = (p - 1) // 2
     fact = half_factorials_mod(p)
 
@@ -296,6 +304,18 @@ def _rule_trace_congruence(n: int, p: int, reps: list[CmRepresentation]) -> Opti
     return None
 
 
+def _rule_group_order(n: int, p: int, reps: list[CmRepresentation]) -> Optional[int]:
+    """The sign of u certified by the order of a point on the curve or its twist.
+
+    Where every point leaves both signs standing (only p <= 229 can, by
+    Mestre's theorem) the exact trace congruence decides; it is cheap there.
+    """
+    if len(reps) != 1:
+        return None
+    s = ec.trace_sign(families.cubic_coeffs(n, 1), reps[0].u, p)
+    return s if s is not None else _rule_trace_congruence(n, p, reps)
+
+
 RULES: dict[str, Callable[[int, int, list[CmRepresentation]], Optional[int]]] = {
     "quartic_unit_class": _rule_quartic_base,
     "sextic_unit_class": _rule_sextic_base,
@@ -309,6 +329,7 @@ RULES: dict[str, Callable[[int, int, list[CmRepresentation]], Optional[int]]] = 
     "half_1_mod_4": _rule_half_mod_4(1),
     "half_3_mod_4": _rule_half_mod_4(3),
     "trace_congruence": _rule_trace_congruence,
+    "group_order": _rule_group_order,
 }
 
 # Candidate order tried by the pinning harness; the printed selector
@@ -327,10 +348,10 @@ RULE_CANDIDATES = (
 
 _FALLBACK_CONVENTIONS = {
     "f1": {"rule": "quartic_unit_class"},
-    "f2": {"rule": "trace_congruence"},
+    "f2": {"rule": "group_order"},
     "f3": {"rule": "sextic_unit_class"},
     "f7": {"rule": "kronecker_minus"},
-    "f11": {"rule": "trace_congruence"},
+    "f11": {"rule": "group_order"},
     "f19": {"rule": "kronecker_chi2"},
     "f43": {"rule": "kronecker_chi2"},
     "f67": {"rule": "kronecker_chi2"},
@@ -361,9 +382,11 @@ def normalized_u(n: int, p, conventions: Optional[dict] = None) -> Optional[int]
     p = as_modulus(p)
     if is_inert(n, p).inert:
         return None
-    table = conventions if conventions is not None else load_conventions()
-    rule_name = table[f"f{n}"]["rule"]
-    reps = representations_4p(n, p)
+    return base_trace(n, p, representations_4p(n, p), rule_name_for(n, conventions))
+
+
+def base_trace(n: int, p: int, reps: list[CmRepresentation], rule_name: str) -> int:
+    """The signed u of the a = 1 normalization at split p, from its representations."""
     if not reps:
         raise RuntimeError(f"split p = {p} has no representation for n = {n}")
     u = RULES[rule_name](n, p, reps)

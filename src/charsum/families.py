@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from math import prod
 from typing import Optional
 
-from .algebra import FpPolynomial, as_modulus, cubic_discriminant_test
+from .algebra import FpPolynomial, OddPrime, as_modulus, cubic_discriminant_test
 from .exceptions import BadReductionError, ConstraintViolation
 
 N_VALUES = (1, 2, 3, 7, 11, 19, 43, 67, 163)
@@ -53,38 +53,44 @@ def _check_reduction(n: int, a: int, p: int, coeffs) -> None:
         raise BadReductionError(f"singular reduction: disc(f_{n}) = 0 mod {p}")
 
 
-def cubic_poly(n: int, a: int, p) -> FpPolynomial:
-    """The CM cubic f_n with parameter a, reduced mod p."""
-    p = as_modulus(p)
+def _modulus(p) -> OddPrime:
+    """The validated modulus; the closed forms are not bound by the oracle's cap."""
+    return p if isinstance(p, OddPrime) else OddPrime(int(p), allow_large=True)
+
+
+def cubic_coeffs(n: int, a: int) -> list[int]:
+    """Integer coefficients (c0, c1, c2, 1) of f_n with parameter a."""
     if n not in N_VALUES:
         raise ValueError(f"n must be one of {N_VALUES}")
-    if a % p == 0:
-        raise BadReductionError(f"bad reduction: a = 0 mod {p}")
     if n == 1:
-        coeffs = [0, a, 0, 1]
-    elif n == 3:
-        coeffs = [a, 0, 0, 1]
-    elif n in _MONIC_QUADRATIC:
+        return [0, a, 0, 1]
+    if n == 3:
+        return [a, 0, 0, 1]
+    if n in _MONIC_QUADRATIC:
         b, c = _MONIC_QUADRATIC[n]
-        coeffs = [0, c * a * a, b * a, 1]
-    else:
-        c1, c0 = DEPRESSED_CONSTANTS[n]
-        coeffs = [c0 * a**3, c1 * a * a, 0, 1]
-    _check_reduction(n, a, p, coeffs)
-    return FpPolynomial.make(p, coeffs)
+        return [0, c * a * a, b * a, 1]
+    c1, c0 = DEPRESSED_CONSTANTS[n]
+    return [c0 * a**3, c1 * a * a, 0, 1]
+
+
+def cubic_poly(n: int, a: int, p) -> FpPolynomial:
+    """The CM cubic f_n with parameter a, reduced mod p."""
+    mod = _modulus(p)
+    coeffs = cubic_coeffs(n, a)
+    if a % mod.p == 0:
+        raise BadReductionError(f"bad reduction: a = 0 mod {mod.p}")
+    _check_reduction(n, a, mod.p, coeffs)
+    return FpPolynomial.make(mod, coeffs)
 
 
 def derived_poly(n: int, a: int, p) -> FpPolynomial:
     """The derived family g_n: quartic for n in {1, 2, 7}, else f_n(x^2)."""
-    p = as_modulus(p)
-    if n not in N_VALUES:
-        raise ValueError(f"n must be one of {N_VALUES}")
-    f = cubic_poly(n, a, p)  # validates reduction
+    f = cubic_poly(n, a, p)  # validates n and the reduction
     if n == 1:
-        return FpPolynomial.make(p, [a, 0, 0, 0, 1])
+        return FpPolynomial.make(f.modulus, [a, 0, 0, 0, 1])
     if n in _MONIC_QUADRATIC:
         b, c = _MONIC_QUADRATIC[n]
-        return FpPolynomial.make(p, [c * a * a, 0, b * a, 0, 1])
+        return FpPolynomial.make(f.modulus, [c * a * a, 0, b * a, 0, 1])
     return f.at_x_squared()
 
 
@@ -97,40 +103,6 @@ def quadratic_part(n: int, a: int, p) -> tuple[int, int, int]:
         b, c = _MONIC_QUADRATIC[n]
         return (1, b * a % p, c * a * a % p)
     raise ValueError("quadratic part only defined for n in {1, 2, 7}")
-
-
-@dataclass(frozen=True)
-class CubicFamily:
-    n: int
-    a: int
-
-    def __post_init__(self):
-        if self.n not in N_VALUES:
-            raise ValueError(f"n must be one of {N_VALUES}")
-        if self.a == 0:
-            raise ValueError("a must be nonzero")
-
-    def poly(self, p) -> FpPolynomial:
-        return cubic_poly(self.n, self.a, p)
-
-
-@dataclass(frozen=True)
-class DerivedFamily:
-    n: int
-    a: int
-
-    def __post_init__(self):
-        if self.n not in N_VALUES:
-            raise ValueError(f"n must be one of {N_VALUES}")
-        if self.a == 0:
-            raise ValueError("a must be nonzero")
-
-    @property
-    def degree(self) -> int:
-        return 4 if self.n in (1, 2, 7) else 6
-
-    def poly(self, p) -> FpPolynomial:
-        return derived_poly(self.n, self.a, p)
 
 
 @dataclass(frozen=True)
@@ -150,7 +122,8 @@ class FormParams:
 
 def form_poly(params: FormParams, p) -> FpPolynomial:
     """Build the form's polynomial mod p, enforcing its constraint flags."""
-    p = as_modulus(p)
+    mod = _modulus(p)
+    p = mod.p
     if params.kind == "legendre":
         beta = params.beta % p if params.beta is not None else None
         if beta is None:
@@ -158,7 +131,7 @@ def form_poly(params: FormParams, p) -> FpPolynomial:
         if beta in (0, 1):
             raise ConstraintViolation("beta_degenerate", f"beta = {beta} mod {p}")
         # x (x - 1) (x - beta)
-        return FpPolynomial.make(p, [0, beta, -(1 + beta), 1])
+        return FpPolynomial.make(mod, [0, beta, -(1 + beta), 1])
     if params.kind == "newton":
         if params.beta is None or params.k is None:
             raise ConstraintViolation("newton_params_missing")
@@ -169,7 +142,7 @@ def form_poly(params: FormParams, p) -> FpPolynomial:
             raise ConstraintViolation("beta_degenerate", f"beta = {beta} mod {p}")
         # (k^2 x^2 - 1)(x^2 - beta)
         k2 = k * k % p
-        return FpPolynomial.make(p, [beta, 0, -(k2 * beta + 1), 0, k2])
+        return FpPolynomial.make(mod, [beta, 0, -(k2 * beta + 1), 0, k2])
     # edwards: (x^2 - c^2)(c^2 d x^2 - 1)
     if params.c is None or params.d is None:
         raise ConstraintViolation("edwards_params_missing")
@@ -178,7 +151,7 @@ def form_poly(params: FormParams, p) -> FpPolynomial:
     if guard == 0:
         raise ConstraintViolation("cd(1-c^4 d)_zero")
     c2 = c * c % p
-    return FpPolynomial.make(p, [c2, 0, -(c2 * c2 % p * d + 1), 0, c2 * d])
+    return FpPolynomial.make(mod, [c2, 0, -(c2 * c2 % p * d + 1), 0, c2 * d])
 
 
 def parse_family_id(family: str) -> tuple[str, Optional[int]]:

@@ -26,11 +26,14 @@ from .algebra import FpPolynomial, as_modulus, centered_lift, inv_mod
 from .oracle import SumValue, char_sum_coeffs
 
 _FROBENIUS_CAP = 1_000_000  # keeps convolution sums inside int64
+_HASSE_CAP = 1 << 26  # the coefficient table is O(p) memory; beyond this, refuse
 
 
 @lru_cache(maxsize=32)
 def _hasse_coeffs(p: int) -> np.ndarray:
     """Coefficient vector of H mod p, built by the running binomial ratio."""
+    if p >= _HASSE_CAP:
+        raise ValueError(f"Hasse-polynomial evaluation refused for p >= 2^26 (got {p})")
     m = (p - 1) // 2
     sign = p - 1 if m % 2 else 1
     out = np.zeros(m + 1, dtype=np.int64)

@@ -245,7 +245,7 @@ def pin_conventions(p_train: int = 500, p_verify: int = 2000) -> tuple[dict, lis
     kronecker(u, n) = (2|p) is always tried first, so its status is
     recorded even when it loses).  The winner is then re-verified up to
     p_verify; families with no consistent simple rule fall back to the
-    exact trace congruence.  Returns (table, errata).
+    exact group-order certificate.  Returns (table, errata).
     """
     from . import cm, families
 
@@ -284,7 +284,7 @@ def pin_conventions(p_train: int = 500, p_verify: int = 2000) -> tuple[dict, lis
         else:
             chosen = None
             printed_rule_ok = True
-            for name in cm.RULE_CANDIDATES + ("trace_congruence",):
+            for name in cm.RULE_CANDIDATES + ("group_order",):
                 fn = cm.RULES[name]
                 ok = all(fn(n, p, reps) == s for p, s, reps in train)
                 if name == "kronecker_chi2":
@@ -297,12 +297,12 @@ def pin_conventions(p_train: int = 500, p_verify: int = 2000) -> tuple[dict, lis
                 for p, s, reps in verify
                 if cm.RULES[chosen](n, p, reps) != s
             ]
-            if bad and chosen != "trace_congruence":
+            if bad and chosen != "group_order":
                 for p, s in bad[:3]:
                     errata.append(
-                        f"f{n}: rule {chosen} broke at p={p}; falling back to trace congruence"
+                        f"f{n}: rule {chosen} broke at p={p}; falling back to group order"
                     )
-                chosen = "trace_congruence"
+                chosen = "group_order"
                 bad = [
                     (p, s)
                     for p, s, reps in verify

@@ -74,6 +74,27 @@ def test_criterion_02_cubic_cm_suite():
     assert not mismatches, mismatches[:5]
 
 
+def test_criterion_02_signed_cubic_cm():
+    # the sign of u as well as its magnitude, for every family and a-class
+    mismatches = []
+    cases = 0
+    for p in primes_in(3, 2000):
+        for n in families.N_VALUES:
+            for a in (1, 2, 3):
+                try:
+                    poly = families.cubic_poly(n, a, p)
+                except BadReductionError:
+                    continue
+                s = char_sum_coeffs(poly.coeffs, p)
+                v = cf.eval_cubic_cm(n, a, p).value
+                cases += 1
+                if v != s:
+                    mismatches.append((n, a, p, v, s))
+    ok = not mismatches
+    _report(2, "CM cubic closed = oracle with sign", ok, f"{cases} cases")
+    assert not mismatches, mismatches[:5]
+
+
 def test_criterion_03_derived_suite():
     mismatches = []
     cases = fallbacks = 0

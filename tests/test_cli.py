@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from charsum.cli import main
 
 
@@ -147,3 +149,41 @@ def test_config_file_defaults(capsys, tmp_path):
     )
     assert code == 0
     assert json.loads(out)["value"] == -2
+
+
+def test_config_values_take_the_option_type(capsys, tmp_path):
+    cfg = tmp_path / "cfg"
+    cfg.write_text("beta=5\nformat=json\n")
+    code, out, _ = run(capsys, "--config", str(cfg), "eval", "--family", "legendre", "--p", "13")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["params"] == {"beta": 5} and payload["value"] == 2
+    cfg.write_text("beta=five\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(cfg), "eval", "--family", "legendre", "--p", "13"])
+    assert exc.value.code == 2
+
+
+def test_config_false_switch_stays_off(capsys, tmp_path):
+    cfg = tmp_path / "cfg"
+    out_file = tmp_path / "report.json"
+    cfg.write_text("pin_conventions=false\n")
+    code, out, _ = run(
+        capsys, "--config", str(cfg), "verify", "--suite", "cubic-cm", "--pmax", "30",
+        "--out", str(out_file),
+    )
+    assert code == 0
+    assert "conventions" not in out and "unexplained mismatches" in out
+    assert "cases" in json.loads(out_file.read_text())["f1"]
+    cfg.write_text("pin_conventions=maybe\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(cfg), "verify", "--pmax", "30"])
+    assert exc.value.code == 2
+
+
+def test_eval_f2_past_2_31(capsys):
+    p = 2305843009213694009  # 2^61 + 57, the first prime past 2^61 split for n = 2
+    code, out, _ = run(capsys, "eval", "--family", "f2", "--p", str(p), "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["method"] == "cubic_cm/group_order" and payload["value"] != 0

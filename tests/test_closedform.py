@@ -277,6 +277,21 @@ def test_evaluate_recognizes_families():
     assert sv.agrees_with(char_sum_coeffs(m.coeffs, 13))
 
 
+def test_evaluate_power_2k_residue_only_goes_on_to_exact_paths():
+    # x^(2k) + a with 4(2k-1)^2 >= p: the binomial congruence certifies only
+    # a residue, so evaluate answers through the quartic / sextic / oracle paths
+    assert cf.eval_power_2k(2, 1, 5).residue_only
+    assert cf.evaluate(FpPolynomial.make(5, [1, 0, 0, 0, 1])).value == -3
+    for k, p in ((2, 5), (2, 13), (2, 17), (2, 29), (3, 7), (3, 13), (3, 19)):
+        for a in range(1, p):
+            f = FpPolynomial.make(p, [a] + [0] * (2 * k - 1) + [1])
+            sv = cf.evaluate(f)
+            assert not sv.residue_only, (k, p, a, sv)
+            assert sv.value == char_sum_coeffs(f.coeffs, p), (k, p, a, sv)
+    # method="closed" keeps the certified residue
+    assert cf.evaluate(FpPolynomial.make(5, [1, 0, 0, 0, 1]), method="closed").residue_only
+
+
 def test_evaluate_closed_raises_on_unreachable():
     # irreducible quintic has no closed path
     f = FpPolynomial.make(7, [1, 1, 0, 0, 0, 1])

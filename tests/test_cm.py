@@ -1,6 +1,9 @@
+import json
+from importlib import resources
+
 import pytest
 
-from charsum import cm
+from charsum import cm, ec, families, oracle
 from charsum.oracle import char_sum_coeffs, primes_in
 
 
@@ -131,3 +134,31 @@ def test_normalized_u_witness_values():
     assert cm.normalized_u(1, 5) == -2
     assert cm.normalized_u(3, 13) == -2
     assert cm.normalized_u(1, 7) is None
+
+
+def test_group_order_sign_matches_oracle():
+    # every split p < 3000 of the families with unit group {+-1}; a point
+    # leaving both signs standing is allowed only below Mestre's bound
+    for n in (2, 7, 11, 19, 43, 67, 163):
+        for p in primes_in(3, 3000):
+            try:
+                poly = families.cubic_poly(n, 1, p)
+            except Exception:
+                continue
+            if cm.is_inert(n, p).inert:
+                continue
+            s = char_sum_coeffs(poly.coeffs, p)
+            (rep,) = cm.representations_4p(n, p)
+            sign = ec.trace_sign(families.cubic_coeffs(n, 1), rep.u, p)
+            assert sign == s or (sign is None and p <= 229), (n, p, sign, s)
+            assert cm.RULES["group_order"](n, p, [rep]) == s, (n, p)
+
+
+def test_pin_conventions_regenerates_shipped_table():
+    table, errata = oracle.pin_conventions(p_train=500, p_verify=2000)
+    shipped = json.loads(
+        resources.files("charsum").joinpath("data/conventions.json").read_text()
+    )
+    assert errata == []
+    assert json.loads(json.dumps(table)) == shipped
+    assert {shipped[f]["rule"] for f in ("f2", "f11")} == {"group_order"}
