@@ -9,14 +9,10 @@ the whole field -- exhaustive scans are reserved for the oracle module.
 from __future__ import annotations
 
 import random
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 DEFAULT_SEED = 12345
-
-# Moduli above this need an explicit opt-in: the vectorised oracle relies on
-# products of two residues fitting in int64.
-MODULUS_CAP = 1 << 31
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -62,9 +58,8 @@ class OddPrime:
     """A validated odd prime modulus."""
 
     p: int
-    allow_large: InitVar[bool] = False
 
-    def __post_init__(self, allow_large: bool):
+    def __post_init__(self):
         p = self.p
         if not isinstance(p, int):
             raise TypeError(f"modulus must be int, got {type(p).__name__}")
@@ -72,10 +67,6 @@ class OddPrime:
             raise ValueError(f"modulus must be an odd prime >= 3, got {p}")
         if p >= (1 << 63):
             raise ValueError("modulus must fit in 63 bits")
-        if p >= MODULUS_CAP and not allow_large:
-            raise ValueError(
-                f"p = {p} exceeds the default 2^31 cap; pass allow_large=True"
-            )
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
 

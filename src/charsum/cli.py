@@ -17,12 +17,11 @@ import os
 import random
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import Optional, Sequence
 
-from . import closedform, families, hasse, oracle
+from . import closedform, cm, families, hasse, oracle
 from .algebra import FpPolynomial, centered_lift, is_prime, next_prime
-from .exceptions import CharsumError, ConstraintViolation
+from .exceptions import BadReductionError, CharsumError, ConstraintViolation
 from .oracle import CaseRecord, VerificationReport, char_sum_coeffs, primes_in
 
 log = logging.getLogger("charsum")
@@ -30,14 +29,6 @@ log = logging.getLogger("charsum")
 EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
-
-
-def _pmap(fn, items, jobs: int):
-    """Map fn over items, optionally across threads; order-preserving."""
-    if jobs <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=jobs) as ex:
-        return list(ex.map(fn, items))
 
 
 def _family_params(args) -> dict:
@@ -92,27 +83,16 @@ def _render_sum(args, sv, extra: Optional[dict] = None) -> str:
 
 
 def cmd_eval(args) -> int:
-    kind, n = families.parse_family_id(args.family)
     params = _family_params(args)
-    p = args.p
-    if args.method == "oracle":
-        poly = closedform._family_poly(args.family, params, p)
-        sv = oracle.char_sum_direct(poly)
-    elif kind == "f":
-        sv = closedform.eval_cubic_cm(n, params["a"], p)
-    elif kind == "g":
-        sv = closedform.eval_derived_gn(n, params["a"], p)
-    elif kind == "legendre":
-        sv = hasse.legendre_form_sum(params["beta"], p)
-    else:
-        sv = closedform.eval_form(families.FormParams(kind=kind, **params), p)
+    _, sv = closedform.point_count(args.family, params, args.p, method=args.method)
     # small-p delegation is part of the closed contract; structural
     # fallbacks are not
     if args.method == "closed" and "fallback" in sv.method:
         print(f"error: no closed path ({sv.method})", file=sys.stderr)
         return EXIT_USAGE
     extra = {}
-    if kind == "legendre" and hasse.is_supersingular(params["beta"], p):
+    kind, _ = families.parse_family_id(args.family)
+    if kind == "legendre" and hasse.is_supersingular(params["beta"], args.p):
         extra["supersingular"] = True
     print(_render_sum(args, sv, extra))
     return EXIT_OK
@@ -159,7 +139,7 @@ def cmd_hasse(args) -> int:
 # verify suites
 
 
-def _suite_cubic_cm(pmax: int, jobs: int, rng) -> list[VerificationReport]:
+def _suite_cubic_cm(pmax: int, rng) -> list[VerificationReport]:
     reports = []
     for n in families.N_VALUES:
         rep = oracle.verify_range(
@@ -168,13 +148,56 @@ def _suite_cubic_cm(pmax: int, jobs: int, rng) -> list[VerificationReport]:
             param_grid=[{"a": a} for a in (1, 2, 3)],
             evaluator=lambda prm, p, n=n: closedform.eval_cubic_cm(n, prm["a"], p),
             poly_builder=lambda prm, p, n=n: families.cubic_poly(n, prm["a"], p),
-            jobs=jobs,
         )
         reports.append(rep)
-    return reports
+    return reports + [_printed_selector_probe(pmax)]
 
 
-def _suite_derived(pmax: int, jobs: int, rng) -> list[VerificationReport]:
+def _printed_selector_probe(pmax: int) -> VerificationReport:
+    """The printed selector (u|n) = (2|p) against the oracle sign of S(f_n; a = 1).
+
+    A status probe: its mismatches are recorded, one erratum per family
+    names the first p where the selector is indecisive or wrong, and
+    `conventions` holds each family's status next to the rule it uses.
+    """
+    probe = VerificationReport(family="cubic_cm_printed_selector", p_max=pmax)
+    selector = cm.RULES["kronecker_chi2"]
+    for n in families.N_VALUES:
+        first = None
+        for p in primes_in(3, pmax + 1):
+            try:
+                poly = families.cubic_poly(n, 1, p)
+            except BadReductionError:
+                continue
+            if cm.is_inert(n, p).inert:
+                continue
+            s = char_sum_coeffs(poly.coeffs, p)
+            u = selector(n, p, cm.representations_4p(n, p))
+            probe.add(
+                CaseRecord(
+                    p=p,
+                    params=(("a", 1), ("n", n)),
+                    closed=u,
+                    oracle=s,
+                    match=u == s,
+                    u_chosen=u,
+                    note="printed_selector_probe",
+                )
+            )
+            if u != s and first is None:
+                first = ("indecisive" if u is None else "wrong", p)
+        status = {"rule": cm.SIGN_RULE[n], "printed_selector": "consistent"}
+        if first is not None:
+            status.update(printed_selector=first[0], first_p=first[1])
+            probe.errata.append(
+                f"f{n}: printed selector (u|n) = (2|p) is {first[0]} at p = {first[1]}; "
+                f"sign rule {cm.SIGN_RULE[n]}"
+            )
+        probe.conventions[f"f{n}"] = status
+    return probe
+
+
+def _suite_derived(pmax: int, rng) -> list[VerificationReport]:
     reports = []
     for n in families.N_VALUES:
         rep = oracle.verify_range(
@@ -183,13 +206,12 @@ def _suite_derived(pmax: int, jobs: int, rng) -> list[VerificationReport]:
             param_grid=[{"a": a} for a in (1, 2, 3)],
             evaluator=lambda prm, p, n=n: closedform.eval_derived_gn(n, prm["a"], p),
             poly_builder=lambda prm, p, n=n: families.derived_poly(n, prm["a"], p),
-            jobs=jobs,
         )
         reports.append(rep)
     return reports
 
 
-def _suite_square_transform(pmax: int, jobs: int, rng) -> list[VerificationReport]:
+def _suite_square_transform(pmax: int, rng) -> list[VerificationReport]:
     rep = VerificationReport(family="square_transform", p_max=pmax)
     for p in primes_in(3, pmax + 1):
         for i in range(40):
@@ -206,7 +228,7 @@ def _suite_square_transform(pmax: int, jobs: int, rng) -> list[VerificationRepor
     return [rep]
 
 
-def _suite_quartic(pmax: int, jobs: int, rng) -> list[VerificationReport]:
+def _suite_quartic(pmax: int, rng) -> list[VerificationReport]:
     rep = VerificationReport(family="quartic_reduction", p_max=pmax)
     perm_rep = VerificationReport(family="quartic_permutations", p_max=pmax)
     from itertools import permutations
@@ -246,31 +268,20 @@ def _suite_quartic(pmax: int, jobs: int, rng) -> list[VerificationReport]:
     return [rep, perm_rep]
 
 
-def _suite_legendre_hasse(pmax: int, jobs: int, rng) -> list[VerificationReport]:
+def _suite_legendre_hasse(pmax: int, rng) -> list[VerificationReport]:
     rep = VerificationReport(family="legendre_hasse_sign", p_max=pmax)
-
-    def one_prime(p: int) -> list[CaseRecord]:
-        recs = []
+    for p in primes_in(5, pmax + 1):
         betas = list(range(2, p - 1))
-        if not betas:
-            return recs
         if p >= 17:
             lifted = hasse.legendre_form_sum_batch(betas, p)
         for idx, b in enumerate(betas):
             s = char_sum_coeffs((0, b, (-(1 + b)) % p, 1), p)
             v = int(lifted[idx]) if p >= 17 else hasse.legendre_form_sum(b, p).value
-            recs.append(
-                CaseRecord(p=p, params=(("beta", b),), closed=v, oracle=s, match=v == s)
-            )
-        return recs
-
-    for chunk in _pmap(one_prime, primes_in(5, pmax + 1), jobs):
-        for rec in chunk:
-            rep.add(rec)
+            rep.add(CaseRecord(p=p, params=(("beta", b),), closed=v, oracle=s, match=v == s))
     return [rep]
 
 
-def _suite_factor_counts(pmax: int, jobs: int, rng) -> list[VerificationReport]:
+def _suite_factor_counts(pmax: int, rng) -> list[VerificationReport]:
     rep = VerificationReport(family="hasse_factor_counts", p_max=pmax)
     for p in primes_in(7, pmax + 1):
         fc = hasse.factor_counts(p)
@@ -295,7 +306,7 @@ def _suite_factor_counts(pmax: int, jobs: int, rng) -> list[VerificationReport]:
     return [rep]
 
 
-def _suite_jacobsthal(pmax: int, jobs: int, rng) -> list[VerificationReport]:
+def _suite_jacobsthal(pmax: int, rng) -> list[VerificationReport]:
     reports = []
     for kind, closed in (("psi", closedform.psi_closed), ("phi", closedform.phi_closed)):
         rep = VerificationReport(family=f"jacobsthal_{kind}", p_max=pmax)
@@ -337,7 +348,7 @@ def _suite_jacobsthal(pmax: int, jobs: int, rng) -> list[VerificationReport]:
     return reports
 
 
-def _suite_power_sums(pmax: int, jobs: int, rng) -> list[VerificationReport]:
+def _suite_power_sums(pmax: int, rng) -> list[VerificationReport]:
     rep = VerificationReport(family="power_2k", p_max=pmax)
     for k in range(2, 7):
         for p in primes_in(5, pmax + 1):
@@ -360,7 +371,7 @@ def _suite_power_sums(pmax: int, jobs: int, rng) -> list[VerificationReport]:
     return [rep]
 
 
-def _suite_forms(pmax: int, jobs: int, rng) -> list[VerificationReport]:
+def _suite_forms(pmax: int, rng) -> list[VerificationReport]:
     newton = VerificationReport(family="newton_form", p_max=pmax)
     edwards = VerificationReport(family="edwards_form", p_max=pmax)
     variant = VerificationReport(family="crossratio_statement_variant", p_max=pmax)
@@ -451,7 +462,7 @@ def _suite_forms(pmax: int, jobs: int, rng) -> list[VerificationReport]:
     return [newton, edwards, variant]
 
 
-def _suite_identities(pmax: int, jobs: int, rng) -> list[VerificationReport]:
+def _suite_identities(pmax: int, rng) -> list[VerificationReport]:
     """Legendre-cubic parameter identities; records which variant of (i) holds."""
     from .algebra import inv_mod, legendre
 
@@ -495,7 +506,7 @@ def _suite_identities(pmax: int, jobs: int, rng) -> list[VerificationReport]:
     return [rep]
 
 
-def _suite_weil(pmax: int, jobs: int, rng) -> list[VerificationReport]:
+def _suite_weil(pmax: int, rng) -> list[VerificationReport]:
     audit = closedform.weil_audit(p_max=pmax)
     rep = VerificationReport(family="weil_audit", p_max=pmax)
     for fam, info in audit["families"].items():
@@ -533,19 +544,6 @@ SUITES = {
 
 def cmd_verify(args) -> int:
     rng = random.Random(args.seed)
-    if args.pin_conventions:
-        table, errata = oracle.pin_conventions(
-            p_train=min(args.pmax, 500), p_verify=args.pmax
-        )
-        out = args.out or "conventions.json"
-        with open(out, "w", encoding="utf-8") as fh:
-            json.dump(table, fh, indent=1, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote conventions table to {out}")
-        for e in errata:
-            print(f"erratum: {e}")
-        return EXIT_MISMATCH if errata else EXIT_OK
-
     names = list(SUITES) if args.suite == "all" else [args.suite]
     unexplained = 0
     all_reports = []
@@ -553,7 +551,7 @@ def cmd_verify(args) -> int:
         if name not in SUITES:
             print(f"unknown suite {name!r}; known: {', '.join(SUITES)} or all", file=sys.stderr)
             return EXIT_USAGE
-        reports = SUITES[name](args.pmax, args.jobs, rng)
+        reports = SUITES[name](args.pmax, rng)
         for rep in reports:
             rep.finalize()
             bad = len(rep.unexplained)
@@ -639,16 +637,11 @@ def _load_config(path: str) -> dict:
     return out
 
 
-_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
-             "0": False, "false": False, "no": False, "off": False}
-
-
 def _parse_with_config(ap: argparse.ArgumentParser, argv: list, cfg: dict):
     """Parse argv with config values as flags; argparse types and checks them.
 
     A key that names no option of the subcommand is ignored, as is one whose
-    flag is given on the command line.  Boolean switches take true/false,
-    yes/no, on/off or 1/0.
+    flag is given on the command line.
     """
     args = ap.parse_args(argv)
     extra = []
@@ -656,13 +649,7 @@ def _parse_with_config(ap: argparse.ArgumentParser, argv: list, cfg: dict):
         flag = f"--{k.replace('_', '-')}"
         if k in ("cmd", "fn") or not hasattr(args, k) or flag in argv:
             continue
-        if isinstance(getattr(args, k), bool):
-            if raw.lower() not in _BOOLEANS:
-                ap.error(f"config value {k}={raw!r} is not a boolean")
-            if _BOOLEANS[raw.lower()]:
-                extra.append(flag)
-        else:
-            extra.append(f"{flag}={raw}")
+        extra.append(f"{flag}={raw}")
     return ap.parse_args(argv + extra)
 
 
@@ -693,11 +680,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="closed form vs oracle campaigns")
     sp.add_argument("--suite", default="all", help=f"one of {', '.join(SUITES)} or all")
     sp.add_argument("--pmax", type=int, default=300)
-    sp.add_argument("--jobs", type=int, default=1)
     sp.add_argument("--seed", type=int, default=12345)
     sp.add_argument("--out")
     sp.add_argument("--format", choices=("json", "csv"), default="json")
-    sp.add_argument("--pin-conventions", action="store_true")
     sp.set_defaults(fn=cmd_verify)
 
     sp = sub.add_parser("hasse", help="factor counts and class numbers")

@@ -6,9 +6,10 @@ failures (a quartic that does not split, bad reduction) raise typed
 errors; the `evaluate` dispatcher catches them and falls back to the
 oracle, always reporting which path produced the number.
 
-Sign conventions follow the oracle-pinned table (see the cm module); the
-quartic reduction composes the cross-ratio parameters with the
-trace-of-Frobenius lift, so S(quartic) = -1 - chi(alpha) * lift(H(beta)).
+The CM cubics take the sign of u from the one rule cm.SIGN_RULE names
+for each family; the quartic reduction composes the cross-ratio
+parameters with the trace-of-Frobenius lift, so
+S(quartic) = -1 - chi(alpha) * lift(H(beta)).
 """
 
 from __future__ import annotations
@@ -64,21 +65,21 @@ def eval_quadratic(a: int, b: int, c: int, p) -> SumValue:
     return SumValue(value, method="quadratic", parts=(("disc", disc),))
 
 
-def eval_cubic_cm(n: int, a: int, p, conventions: Optional[dict] = None) -> SumValue:
+def eval_cubic_cm(n: int, a: int, p) -> SumValue:
     """S(f_n) for the nine CM cubic families.
 
     Inert p gives 0.  Split p: the representation search yields the
     candidate traces; for n in {1, 3} the quartic/sextic class of a picks
     the candidate by a congruence mod p, for the rest S = chi(a) * u with
-    the sign rule from the pinned convention table.
+    the family's sign rule (cm.SIGN_RULE).
     """
     p = as_modulus(p)
     families.cubic_poly(n, a, p)  # validates good reduction
     if cm.is_inert(n, p).inert:
         return SumValue(0, method="cubic_cm/inert", parts=(("u", 0),))
-    rule = cm.rule_name_for(n, conventions)
+    rule = cm.SIGN_RULE[n]
     reps = cm.representations_4p(n, p)
-    base = cm.base_trace(n, p, reps, rule)
+    base = cm.base_trace(n, p, reps)
     chi_a = legendre(a, p)
     if n in (1, 3):
         w = 4 if n == 1 else 6
@@ -239,9 +240,7 @@ def split_transform(
     )
 
 
-def eval_derived_gn(
-    n: int, a: int, p, conventions: Optional[dict] = None, seed: int = DEFAULT_SEED
-) -> SumValue:
+def eval_derived_gn(n: int, a: int, p, seed: int = DEFAULT_SEED) -> SumValue:
     """S(g_n) by the transformation identity.
 
     Quartic families (n in {1,2,7}): S = A + S(f_n) with A the quadratic
@@ -250,7 +249,7 @@ def eval_derived_gn(
     when x f_n does not split.
     """
     p = as_modulus(p)
-    cubic = eval_cubic_cm(n, a, p, conventions)
+    cubic = eval_cubic_cm(n, a, p)
     if n in (1, 2, 7):
         qa, qb, qc = families.quadratic_part(n, a, p)
         head = eval_quadratic(qa, qb, qc, p)
@@ -468,12 +467,7 @@ def _match_monomial_plus_const(f: FpPolynomial) -> Optional[tuple[int, int]]:
     return d // 2, f.coeffs[0]
 
 
-def evaluate(
-    f: FpPolynomial,
-    method: str = "auto",
-    conventions: Optional[dict] = None,
-    seed: int = DEFAULT_SEED,
-) -> SumValue:
+def evaluate(f: FpPolynomial, method: str = "auto", seed: int = DEFAULT_SEED) -> SumValue:
     """Evaluate S(f), trying closed forms by degree and shape.
 
     method="closed" raises NotSplitError instead of falling back (and
@@ -496,7 +490,7 @@ def evaluate(
         if d == 3:
             hit = _match_cubic_family(f.monic())
             if hit is not None:
-                sv = eval_cubic_cm(hit[0], hit[1], p, conventions)
+                sv = eval_cubic_cm(hit[0], hit[1], p)
                 if f.leading == 1:
                     return sv
                 return SumValue(legendre(f.leading, p) * sv.value, method=sv.method, parts=sv.parts)
@@ -514,7 +508,7 @@ def evaluate(
             if half.degree == 3:
                 hit = _match_cubic_family(half)
                 if hit is not None:
-                    return eval_derived_gn(hit[0], hit[1], p, conventions, seed=seed)
+                    return eval_derived_gn(hit[0], hit[1], p, seed=seed)
     except NotSplitError:
         if method == "closed":
             raise
@@ -524,22 +518,16 @@ def evaluate(
     return SumValue(char_sum_coeffs(f.coeffs, p), method="oracle_fallback")
 
 
-def point_count(
-    family: str,
-    params: dict,
-    p,
-    method: str = "auto",
-    conventions: Optional[dict] = None,
-) -> tuple[PointCount, SumValue]:
+def point_count(family: str, params: dict, p, method: str = "auto") -> tuple[PointCount, SumValue]:
     """Affine and projective point counts of the family's curve y^2 = f(x)."""
     p = as_modulus(p)
     kind, n = families.parse_family_id(family)
     if method == "oracle":
         sv = char_sum_direct(_family_poly(family, params, p))
     elif kind == "f":
-        sv = eval_cubic_cm(n, params["a"], p, conventions)
+        sv = eval_cubic_cm(n, params["a"], p)
     elif kind == "g":
-        sv = eval_derived_gn(n, params["a"], p, conventions)
+        sv = eval_derived_gn(n, params["a"], p)
     elif kind == "legendre":
         sv = hasse.legendre_form_sum(params["beta"], p)
     else:

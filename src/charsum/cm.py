@@ -1,24 +1,20 @@
 """Quadratic-form representations 4p = u^2 + n v^2 and sign normalization.
 
 For the seven families with unit group {+-1} the representation of 4p is
-unique up to signs and only the sign of u needs a convention.  For n = 1
+unique up to signs and only the sign of u needs a rule.  For n = 1
 (four units) and n = 3 (six units) several representations coexist and the
 twist class of the curve parameter selects among them; the selection is a
 congruence mod p handled in the closed-form evaluators.
 
-Sign conventions are pinned against the direct-summation oracle and
-shipped as a data file (regenerate with ``charsum verify --pin-conventions``).
-Where no constant-time congruence fits (n = 2, 11) the sign comes from the
-group-order certificate of the ec module, which is O(log p) and exact.
+SIGN_RULE names the one rule each family uses.  Where no constant-time
+congruence fits (n = 2, 11) the sign comes from the group-order
+certificate of the ec module, which is O(log p) and exact.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from importlib import resources
 from typing import Callable, Optional
 
 from . import ec, families
@@ -179,7 +175,7 @@ def _cornacchia_4p_all(n: int, p: int) -> list[tuple[int, int]]:
 
 
 # ---------------------------------------------------------------------------
-# sign conventions
+# sign rules
 
 
 def _unique_even_rep(reps: list[CmRepresentation]) -> CmRepresentation:
@@ -200,27 +196,6 @@ def _rule_kronecker_symbol(target: Callable[[int], int]):
         if kronecker(-u, n) == want:
             return -u
         return None
-
-    return rule
-
-
-def _rule_sign_const(sign: int):
-    def rule(n: int, p: int, reps: list[CmRepresentation]) -> Optional[int]:
-        if len(reps) != 1:
-            return None
-        return sign * reps[0].u
-
-    return rule
-
-
-def _rule_half_mod_4(residue: int):
-    def rule(n: int, p: int, reps: list[CmRepresentation]) -> Optional[int]:
-        if len(reps) != 1 or reps[0].u % 2:
-            return None
-        c = reps[0].u // 2
-        if c % 2 == 0:
-            return None  # indecisive
-        return reps[0].u if c % 4 == residue else -reps[0].u
 
     return rule
 
@@ -252,9 +227,9 @@ def base_trace_residue(n: int, p: int) -> int:
 
     Power sums over F_p kill every monomial except exponents divisible by
     p - 1, so the character sum is congruent to minus this coefficient.
-    Exact, oracle-independent, O(p) multiplications; used as the sign
-    selector for families where no low-height congruence rule exists, and
-    as a cross-check for the fast rules everywhere else.
+    Exact, oracle-independent, O(p) multiplications; the group-order
+    rule's fallback below Mestre's bound, and a cross-check for the fast
+    rules everywhere else.
     """
     m = (p - 1) // 2
     fact = half_factorials_mod(p)
@@ -291,19 +266,6 @@ def base_trace_residue(n: int, p: int) -> int:
     return (-total) % p
 
 
-def _rule_trace_congruence(n: int, p: int, reps: list[CmRepresentation]) -> Optional[int]:
-    """Pick the signed u congruent mod p to the binomial trace residue."""
-    if len(reps) != 1:
-        return None
-    u = reps[0].u
-    r = base_trace_residue(n, p)
-    if u % p == r:
-        return u
-    if (-u) % p == r:
-        return -u
-    return None
-
-
 def _rule_group_order(n: int, p: int, reps: list[CmRepresentation]) -> Optional[int]:
     """The sign of u certified by the order of a point on the curve or its twist.
 
@@ -312,91 +274,57 @@ def _rule_group_order(n: int, p: int, reps: list[CmRepresentation]) -> Optional[
     """
     if len(reps) != 1:
         return None
-    s = ec.trace_sign(families.cubic_coeffs(n, 1), reps[0].u, p)
-    return s if s is not None else _rule_trace_congruence(n, p, reps)
+    u = reps[0].u
+    s = ec.trace_sign(families.cubic_coeffs(n, 1), u, p)
+    if s is not None:
+        return s
+    r = base_trace_residue(n, p)
+    return next((t for t in (u, -u) if t % p == r), None)
 
 
 RULES: dict[str, Callable[[int, int, list[CmRepresentation]], Optional[int]]] = {
     "quartic_unit_class": _rule_quartic_base,
     "sextic_unit_class": _rule_sextic_base,
-    "kronecker_chi2": _rule_kronecker_symbol(lambda p: legendre(2, p)),
     "kronecker_minus": _rule_kronecker_symbol(lambda p: -1),
-    "kronecker_plus": _rule_kronecker_symbol(lambda p: 1),
-    "kronecker_chi_minus_one": _rule_kronecker_symbol(lambda p: legendre(-1, p)),
-    "kronecker_chi_minus_two": _rule_kronecker_symbol(lambda p: legendre(-2, p)),
-    "positive_u": _rule_sign_const(1),
-    "negative_u": _rule_sign_const(-1),
-    "half_1_mod_4": _rule_half_mod_4(1),
-    "half_3_mod_4": _rule_half_mod_4(3),
-    "trace_congruence": _rule_trace_congruence,
+    # the selector (u|n) = (2|p) printed in the literature
+    "kronecker_chi2": _rule_kronecker_symbol(lambda p: legendre(2, p)),
     "group_order": _rule_group_order,
 }
 
-# Candidate order tried by the pinning harness; the printed selector
-# (u|n) = (2|p) goes first so its status is always recorded.
-RULE_CANDIDATES = (
-    "kronecker_chi2",
-    "kronecker_minus",
-    "kronecker_plus",
-    "kronecker_chi_minus_one",
-    "kronecker_chi_minus_two",
-    "positive_u",
-    "negative_u",
-    "half_1_mod_4",
-    "half_3_mod_4",
-)
-
-_FALLBACK_CONVENTIONS = {
-    "f1": {"rule": "quartic_unit_class"},
-    "f2": {"rule": "group_order"},
-    "f3": {"rule": "sextic_unit_class"},
-    "f7": {"rule": "kronecker_minus"},
-    "f11": {"rule": "group_order"},
-    "f19": {"rule": "kronecker_chi2"},
-    "f43": {"rule": "kronecker_chi2"},
-    "f67": {"rule": "kronecker_chi2"},
-    "f163": {"rule": "kronecker_chi2"},
+# The rule that signs u for each f_n.  The printed selector is indecisive
+# or wrong for n in {1, 2, 3, 7, 11}; the cubic-cm verify suite reports
+# where it first fails.
+SIGN_RULE = {
+    1: "quartic_unit_class",
+    2: "group_order",
+    3: "sextic_unit_class",
+    7: "kronecker_minus",
+    11: "group_order",
+    19: "kronecker_chi2",
+    43: "kronecker_chi2",
+    67: "kronecker_chi2",
+    163: "kronecker_chi2",
 }
 
 
-@lru_cache(maxsize=1)
-def load_conventions(path: Optional[str] = None) -> dict:
-    """The pinned sign-convention table (packaged default, or a file)."""
-    if path is not None:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    try:
-        data = resources.files("charsum").joinpath("data/conventions.json")
-        return json.loads(data.read_text(encoding="utf-8"))
-    except (FileNotFoundError, ModuleNotFoundError):
-        return {k: dict(v) for k, v in _FALLBACK_CONVENTIONS.items()}
-
-
-def normalized_u(n: int, p, conventions: Optional[dict] = None) -> Optional[int]:
+def normalized_u(n: int, p) -> Optional[int]:
     """The signed u of the family's a = 1 normalization; None when inert.
 
-    Deterministic in (n, p, conventions).  For n in {1, 3} this is the
-    base trace of the unit-class selection; the twist classes of other
-    parameters are congruence shifts applied by the evaluator.
+    Deterministic in (n, p).  For n in {1, 3} this is the base trace of
+    the unit-class selection; the twist classes of other parameters are
+    congruence shifts applied by the evaluator.
     """
     p = as_modulus(p)
     if is_inert(n, p).inert:
         return None
-    return base_trace(n, p, representations_4p(n, p), rule_name_for(n, conventions))
+    return base_trace(n, p, representations_4p(n, p))
 
 
-def base_trace(n: int, p: int, reps: list[CmRepresentation], rule_name: str) -> int:
+def base_trace(n: int, p: int, reps: list[CmRepresentation]) -> int:
     """The signed u of the a = 1 normalization at split p, from its representations."""
     if not reps:
         raise RuntimeError(f"split p = {p} has no representation for n = {n}")
-    u = RULES[rule_name](n, p, reps)
+    u = RULES[SIGN_RULE[n]](n, p, reps)
     if u is None:
-        raise RuntimeError(
-            f"convention rule {rule_name!r} was indecisive at n={n}, p={p}"
-        )
+        raise RuntimeError(f"sign rule {SIGN_RULE[n]!r} was indecisive at n={n}, p={p}")
     return u
-
-
-def rule_name_for(n: int, conventions: Optional[dict] = None) -> str:
-    table = conventions if conventions is not None else load_conventions()
-    return table[f"f{n}"]["rule"]

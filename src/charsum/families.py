@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from math import prod
 from typing import Optional
 
-from .algebra import FpPolynomial, OddPrime, as_modulus, cubic_discriminant_test
+from .algebra import FpPolynomial, as_modulus, cubic_discriminant_test
 from .exceptions import BadReductionError, ConstraintViolation
 
 N_VALUES = (1, 2, 3, 7, 11, 19, 43, 67, 163)
@@ -53,11 +53,6 @@ def _check_reduction(n: int, a: int, p: int, coeffs) -> None:
         raise BadReductionError(f"singular reduction: disc(f_{n}) = 0 mod {p}")
 
 
-def _modulus(p) -> OddPrime:
-    """The validated modulus; the closed forms are not bound by the oracle's cap."""
-    return p if isinstance(p, OddPrime) else OddPrime(int(p), allow_large=True)
-
-
 def cubic_coeffs(n: int, a: int) -> list[int]:
     """Integer coefficients (c0, c1, c2, 1) of f_n with parameter a."""
     if n not in N_VALUES:
@@ -75,12 +70,12 @@ def cubic_coeffs(n: int, a: int) -> list[int]:
 
 def cubic_poly(n: int, a: int, p) -> FpPolynomial:
     """The CM cubic f_n with parameter a, reduced mod p."""
-    mod = _modulus(p)
     coeffs = cubic_coeffs(n, a)
-    if a % mod.p == 0:
-        raise BadReductionError(f"bad reduction: a = 0 mod {mod.p}")
-    _check_reduction(n, a, mod.p, coeffs)
-    return FpPolynomial.make(mod, coeffs)
+    f = FpPolynomial.make(p, coeffs)  # validates the modulus
+    if a % f.p == 0:
+        raise BadReductionError(f"bad reduction: a = 0 mod {f.p}")
+    _check_reduction(n, a, f.p, coeffs)
+    return f
 
 
 def derived_poly(n: int, a: int, p) -> FpPolynomial:
@@ -122,8 +117,7 @@ class FormParams:
 
 def form_poly(params: FormParams, p) -> FpPolynomial:
     """Build the form's polynomial mod p, enforcing its constraint flags."""
-    mod = _modulus(p)
-    p = mod.p
+    p = as_modulus(p)
     if params.kind == "legendre":
         beta = params.beta % p if params.beta is not None else None
         if beta is None:
@@ -131,7 +125,7 @@ def form_poly(params: FormParams, p) -> FpPolynomial:
         if beta in (0, 1):
             raise ConstraintViolation("beta_degenerate", f"beta = {beta} mod {p}")
         # x (x - 1) (x - beta)
-        return FpPolynomial.make(mod, [0, beta, -(1 + beta), 1])
+        return FpPolynomial.make(p, [0, beta, -(1 + beta), 1])
     if params.kind == "newton":
         if params.beta is None or params.k is None:
             raise ConstraintViolation("newton_params_missing")
@@ -142,7 +136,7 @@ def form_poly(params: FormParams, p) -> FpPolynomial:
             raise ConstraintViolation("beta_degenerate", f"beta = {beta} mod {p}")
         # (k^2 x^2 - 1)(x^2 - beta)
         k2 = k * k % p
-        return FpPolynomial.make(mod, [beta, 0, -(k2 * beta + 1), 0, k2])
+        return FpPolynomial.make(p, [beta, 0, -(k2 * beta + 1), 0, k2])
     # edwards: (x^2 - c^2)(c^2 d x^2 - 1)
     if params.c is None or params.d is None:
         raise ConstraintViolation("edwards_params_missing")
@@ -151,7 +145,7 @@ def form_poly(params: FormParams, p) -> FpPolynomial:
     if guard == 0:
         raise ConstraintViolation("cd(1-c^4 d)_zero")
     c2 = c * c % p
-    return FpPolynomial.make(mod, [c2, 0, -(c2 * c2 % p * d + 1), 0, c2 * d])
+    return FpPolynomial.make(p, [c2, 0, -(c2 * c2 % p * d + 1), 0, c2 * d])
 
 
 def parse_family_id(family: str) -> tuple[str, Optional[int]]:

@@ -2,7 +2,8 @@
 
 Everything here evaluates character sums by literally summing Legendre
 symbols over F_p (via a quadratic-residue table built from squares, so it
-shares no code path with the closed forms it is used to check).
+shares no code path with the closed forms it is used to check).  The
+tables are O(p) memory, so every sum refuses p >= 2^26.
 """
 
 from __future__ import annotations
@@ -91,6 +92,8 @@ def jacobsthal_direct(kind: str, k: int, a: int, p) -> SumValue:
     Direct summation; does not require any congruence condition on p.
     """
     p = as_modulus(p)
+    if p >= _ORACLE_CAP:
+        raise ValueError(f"direct summation refused for p >= 2^26 (got {p})")
     if kind not in ("phi", "psi"):
         raise ValueError("kind must be 'phi' or 'psi'")
     if k < 1:
@@ -237,91 +240,6 @@ class VerificationReport:
         return buf.getvalue()
 
 
-def pin_conventions(p_train: int = 500, p_verify: int = 2000) -> tuple[dict, list[str]]:
-    """Learn and verify the sign-convention rule for each cubic family.
-
-    Trains on split primes up to p_train: the first candidate rule that
-    reproduces every oracle sign wins (the printed selector
-    kronecker(u, n) = (2|p) is always tried first, so its status is
-    recorded even when it loses).  The winner is then re-verified up to
-    p_verify; families with no consistent simple rule fall back to the
-    exact group-order certificate.  Returns (table, errata).
-    """
-    from . import cm, families
-
-    table: dict = {}
-    errata: list[str] = []
-
-    def split_data(n: int, bound: int) -> list[tuple[int, int, list]]:
-        data = []
-        for p in primes_in(3, bound + 1):
-            try:
-                poly = families.cubic_poly(n, 1, p)
-            except Exception:
-                continue
-            if cm.is_inert(n, p).inert:
-                continue
-            s = char_sum_coeffs(poly.coeffs, p)
-            data.append((p, s, cm.representations_4p(n, p)))
-        return data
-
-    for n in families.N_VALUES:
-        train = split_data(n, p_train)
-        verify = split_data(n, p_verify)
-        entry: dict = {"pinned_on": p_train, "verified_to": p_verify}
-        if n in (1, 3):
-            rule = "quartic_unit_class" if n == 1 else "sextic_unit_class"
-            bad = [
-                (p, s)
-                for p, s, reps in verify
-                if cm.RULES[rule](n, p, reps) != s
-            ]
-            entry["rule"] = rule
-            entry["kind"] = "empirical"
-            entry["status"] = "oracle_pinned" if not bad else "FAILED"
-            for p, s in bad[:5]:
-                errata.append(f"f{n}: rule {rule} wrong at p={p} (oracle {s})")
-        else:
-            chosen = None
-            printed_rule_ok = True
-            for name in cm.RULE_CANDIDATES + ("group_order",):
-                fn = cm.RULES[name]
-                ok = all(fn(n, p, reps) == s for p, s, reps in train)
-                if name == "kronecker_chi2":
-                    printed_rule_ok = ok
-                if ok:
-                    chosen = name
-                    break
-            bad = [
-                (p, s)
-                for p, s, reps in verify
-                if cm.RULES[chosen](n, p, reps) != s
-            ]
-            if bad and chosen != "group_order":
-                for p, s in bad[:3]:
-                    errata.append(
-                        f"f{n}: rule {chosen} broke at p={p}; falling back to group order"
-                    )
-                chosen = "group_order"
-                bad = [
-                    (p, s)
-                    for p, s, reps in verify
-                    if cm.RULES[chosen](n, p, reps) != s
-                ]
-            entry["rule"] = chosen
-            entry["kind"] = "kronecker" if chosen == "kronecker_chi2" else "empirical"
-            entry["status"] = "oracle_pinned" if not bad else "FAILED"
-            entry["printed_selector_consistent"] = printed_rule_ok
-            if not printed_rule_ok and chosen != "kronecker_chi2":
-                entry["printed_selector_note"] = (
-                    "kronecker(u,n) = (2|p) does not reproduce the oracle signs"
-                )
-        witnesses = [(p, s) for p, s, _ in verify[:3]]
-        entry["witnesses"] = witnesses
-        table[f"f{n}"] = entry
-    return table, errata
-
-
 def verify_range(
     family: str,
     p_max: int,
@@ -329,24 +247,19 @@ def verify_range(
     evaluator: Callable[[dict, int], SumValue],
     poly_builder: Callable[[dict, int], FpPolynomial],
     reduction_filter: Callable[[dict, int], bool] = lambda params, p: True,
-    conventions: Optional[dict] = None,
-    jobs: int = 1,
 ) -> VerificationReport:
     """Compare a closed-form evaluator against the oracle over a prime range.
 
     For every odd prime p <= p_max passing the reduction filter and every
     parameter dict in the grid, evaluates both sides.  Structural fallbacks
     (NotSplit) are recorded, never silently dropped; any live mismatch
-    lands in the errata list.  jobs > 1 fans out over primes; the merged
-    report is sorted, so the output is scheduling-independent.
+    lands in the errata list.
     """
     from .exceptions import BadReductionError, NotSplitError
 
-    report = VerificationReport(family=family, p_max=p_max, conventions=conventions or {})
+    report = VerificationReport(family=family, p_max=p_max)
     grid = list(param_grid)
-
-    def one_prime(p: int) -> list[CaseRecord]:
-        recs = []
+    for p in primes_in(3, p_max + 1):
         for params in grid:
             if not reduction_filter(params, p):
                 continue
@@ -359,7 +272,7 @@ def verify_range(
             try:
                 closed = evaluator(params, p)
             except NotSplitError:
-                recs.append(
+                report.add(
                     CaseRecord(
                         p=p,
                         params=key,
@@ -372,7 +285,7 @@ def verify_range(
                 continue
             except BadReductionError:
                 continue
-            recs.append(
+            report.add(
                 CaseRecord(
                     p=p,
                     params=key,
@@ -383,17 +296,4 @@ def verify_range(
                     note="fallback" if "fallback" in closed.method else "",
                 )
             )
-        return recs
-
-    primes = primes_in(3, p_max + 1)
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as ex:
-            chunks = list(ex.map(one_prime, primes))
-    else:
-        chunks = [one_prime(p) for p in primes]
-    for chunk in chunks:
-        for rec in chunk:
-            report.add(rec)
     return report.finalize()

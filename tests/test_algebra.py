@@ -26,9 +26,9 @@ def test_odd_prime_validation():
         OddPrime(2)
     with pytest.raises(ValueError):
         OddPrime(9)
+    OddPrime(2**31 + 11)  # no cap below 2^63
     with pytest.raises(ValueError):
-        OddPrime(2**31 + 11)  # needs allow_large
-    OddPrime(2**31 + 11, allow_large=True)
+        OddPrime(2**63 + 29)
 
 
 def test_is_prime_small():

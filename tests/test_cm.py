@@ -1,9 +1,7 @@
-import json
-from importlib import resources
-
 import pytest
 
-from charsum import cm, ec, families, oracle
+from charsum import cm, ec, families
+from charsum.cli import SUITES
 from charsum.oracle import char_sum_coeffs, primes_in
 
 
@@ -123,10 +121,15 @@ def test_trace_residue_against_oracle():
 
 
 def test_conventions_table_loaded():
-    table = cm.load_conventions()
-    assert set(table) == {f"f{n}" for n in cm.VALID_N}
-    for entry in table.values():
-        assert entry["rule"] in cm.RULES
+    # SIGN_RULE is the one table of sign rules: one registered rule per
+    # family, and the cubic-cm suite reports the same table
+    assert set(cm.SIGN_RULE) == set(cm.VALID_N)
+    for rule in cm.SIGN_RULE.values():
+        assert rule in cm.RULES
+    probe = {r.family: r for r in SUITES["cubic-cm"](200, None)}["cubic_cm_printed_selector"]
+    assert {f: s["rule"] for f, s in probe.conventions.items()} == {
+        f"f{n}": rule for n, rule in cm.SIGN_RULE.items()
+    }
 
 
 def test_normalized_u_witness_values():
@@ -154,11 +157,58 @@ def test_group_order_sign_matches_oracle():
             assert cm.RULES["group_order"](n, p, [rep]) == s, (n, p)
 
 
+def test_cubic_cm_suite_reports_the_printed_selector():
+    reports = {r.family: r for r in SUITES["cubic-cm"](2000, None)}
+    assert all(not r.unexplained for r in reports.values())
+    probe = reports["cubic_cm_printed_selector"]
+    assert sorted(e.split(":")[0] for e in probe.errata) == ["f1", "f11", "f2", "f3", "f7"]
+    first = {
+        f: (s["printed_selector"], s.get("first_p")) for f, s in probe.conventions.items()
+    }
+    assert first == {
+        "f1": ("indecisive", 5),
+        "f2": ("indecisive", 3),
+        "f3": ("indecisive", 7),
+        "f7": ("wrong", 23),
+        "f11": ("wrong", 31),
+        "f19": ("consistent", None),
+        "f43": ("consistent", None),
+        "f67": ("consistent", None),
+        "f163": ("consistent", None),
+    }
+    assert cm.SIGN_RULE[2] == cm.SIGN_RULE[11] == "group_order"
+
+
+def _signed_splits(n, lo, hi):
+    for p in primes_in(lo, hi):
+        try:
+            poly = families.cubic_poly(n, 1, p)
+        except Exception:
+            continue
+        if not cm.is_inert(n, p).inert:
+            yield p, char_sum_coeffs(poly.coeffs, p)
+
+
+def _rule_agrees(rule, n, splits):
+    for p, s in splits:
+        try:
+            if rule(n, p, cm.representations_4p(n, p)) != s:
+                return False
+        except Exception:
+            return False
+    return True
+
+
 def test_pin_conventions_regenerates_shipped_table():
-    table, errata = oracle.pin_conventions(p_train=500, p_verify=2000)
-    shipped = json.loads(
-        resources.files("charsum").joinpath("data/conventions.json").read_text()
-    )
-    assert errata == []
-    assert json.loads(json.dumps(table)) == shipped
-    assert {shipped[f]["rule"] for f in ("f2", "f11")} == {"group_order"}
+    # train every registered rule against the oracle below 500, take the
+    # first one that agrees (group_order, the O(log p) rule, is registered
+    # last), then verify the choice up to 2000
+    regenerated = {}
+    for n in cm.VALID_N:
+        train = list(_signed_splits(n, 3, 500))
+        regenerated[n] = next(
+            name for name, rule in cm.RULES.items() if _rule_agrees(rule, n, train)
+        )
+        assert _rule_agrees(cm.RULES[regenerated[n]], n, _signed_splits(n, 500, 2000)), n
+    assert regenerated == cm.SIGN_RULE
+    assert {regenerated[n] for n in (2, 11)} == {"group_order"}

@@ -13,8 +13,8 @@ import tracemalloc
 import pytest
 
 from charsum import closedform as cf
-from charsum import cm, ec, families, hasse
-from charsum.algebra import centered_lift, next_prime, sqrt_mod
+from charsum import cm, ec, families, hasse, oracle
+from charsum.algebra import FpPolynomial, centered_lift, next_prime, sqrt_mod
 
 
 def test_cornacchia_matches_scan_at_seven_digits():
@@ -106,6 +106,7 @@ def test_closed_forms_answer_at_2_61():
             assert time.perf_counter() - t0 < 0.05, (n, a)
             assert abs(s) in mags, (n, a, p, s)
             assert _point_order_divides(p + 1 + s, families.cubic_coeffs(n, a), p), (n, a, p)
+            assert cf.evaluate(FpPolynomial.make(p, families.cubic_coeffs(n, a))).value == s
             if n in (1, 2, 7):
                 g = cf.eval_derived_gn(n, a, p)
                 assert g.value == g.part("head") + s, (n, a, p)
@@ -117,6 +118,18 @@ def test_hasse_cap_refuses_before_allocating():
     try:
         with pytest.raises(ValueError, match="2\\^26"):
             hasse.legendre_form_sum(2, p)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_jacobsthal_oracle_cap_refuses_before_allocating():
+    p = next_prime(1 << 26)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="2\\^26"):
+            oracle.jacobsthal_direct("psi", 2, 1, p)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
