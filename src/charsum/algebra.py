@@ -15,21 +15,19 @@ from typing import Iterable, Optional, Sequence
 DEFAULT_SEED = 12345
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# (bound, bases): the first k prime bases are deterministic below each bound;
+# the bounds are the least strong pseudoprimes to those bases
+_MR_TIERS = ((3_215_031_751, 4), (3_825_123_056_546_413_051, 9))
 
 
-def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, valid for all n < 3.3e24 (covers 63 bits)."""
-    if n < 2:
-        return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % q == 0:
-            return n == q
+def _strong_probable_prime(n: int, bases: Sequence[int]) -> bool:
+    """Miller-Rabin to the given bases, for odd n > max(bases)."""
     d = n - 1
     s = 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_BASES:
+    for a in bases:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -40,6 +38,21 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin, valid for all n < 3.3e24 (covers 63 bits).
+
+    Uses the fewest bases proven for n's size: 4 below 3.2e9, 9 below
+    3.8e18, all 12 above.
+    """
+    if n < 2:
+        return False
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    k = next((k for bound, k in _MR_TIERS if n < bound), len(_MR_BASES))
+    return _strong_probable_prime(n, _MR_BASES[:k])
 
 
 def next_prime(n: int) -> int:

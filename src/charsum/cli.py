@@ -92,7 +92,9 @@ def cmd_eval(args) -> int:
         return EXIT_USAGE
     extra = {}
     kind, _ = families.parse_family_id(args.family)
-    if kind == "legendre" and hasse.is_supersingular(params["beta"], args.p):
+    # S = -a_p, and H(beta) = 0 mod p iff a_p = 0: |a_p| <= 2 sqrt(p) < p for
+    # p >= 5, and at p = 3 the one curve (beta = 2) has S = 0 and H(2) = 0
+    if kind == "legendre" and sv.value == 0:
         extra["supersingular"] = True
     print(_render_sum(args, sv, extra))
     return EXIT_OK

@@ -4,7 +4,13 @@ Every evaluator returns a SumValue naming its method and is required to
 match the direct-summation oracle on its validated range.  Structural
 failures (a quartic that does not split, bad reduction) raise typed
 errors; the `evaluate` dispatcher catches them and falls back to the
-oracle, always reporting which path produced the number.
+oracle, always reporting which path produced the number and logging the
+reason at INFO.
+
+From ec.GROUP_ORDER_MIN_P on, every genus-1 sum takes its trace from the
+O(p^1/4) group-order search: squarefree cubics directly, and quartics
+with a rational root r through x = r + 1/t, which turns them into cubics.
+Only quartics with no rational root still fall back there.
 
 The CM cubics take the sign of u from the one rule cm.SIGN_RULE names
 for each family; the quartic reduction composes the cross-ratio
@@ -14,18 +20,20 @@ S(quartic) = -1 - chi(alpha) * lift(H(beta)).
 
 from __future__ import annotations
 
+import logging
 import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from . import cm, families, hasse
+from . import cm, ec, families, hasse
 from .algebra import (
     DEFAULT_SEED,
     FpPolynomial,
     as_modulus,
     binom_mod,
     centered_lift,
+    cubic_discriminant_test,
     inv_mod,
     legendre,
     roots_in_fp,
@@ -38,6 +46,13 @@ from .algebra import (
 )
 from .exceptions import BadReductionError, NotSplitError
 from .oracle import PointCount, SumValue, char_sum_coeffs, char_sum_direct
+
+log = logging.getLogger(__name__)
+
+
+def _oracle_fallback(coeffs: Sequence[int], p: int, reason: str) -> int:
+    log.info("oracle fallback (reason %s) at p = %d for coefficients %s", reason, p, coeffs)
+    return char_sum_coeffs(coeffs, p)
 
 
 def eval_constant(c: int, p) -> SumValue:
@@ -142,8 +157,9 @@ def quartic_reduce(f: FpPolynomial, seed: int = DEFAULT_SEED) -> SumValue:
     Four distinct roots: S = -1 - chi(alpha) * a_p(beta) with a_p the
     trace lift of H(beta); invariant under the 24 root orderings.
     Repeated roots: square factors drop out of chi, leaving a quadratic
-    sum plus corrections at the rational roots.  A quartic without four
-    rational roots (and no square part saving it) raises NotSplitError.
+    sum plus corrections at the rational roots.  Squarefree with one or
+    two rational roots: the cubic of _rational_root_cubic, from
+    ec.GROUP_ORDER_MIN_P on.  Any other quartic raises NotSplitError.
     """
     p = f.p
     if f.degree != 4:
@@ -157,11 +173,13 @@ def quartic_reduce(f: FpPolynomial, seed: int = DEFAULT_SEED) -> SumValue:
         qr = QuarticReduction.from_roots(roots, p)
         lf = hasse.legendre_form_sum(qr.beta, p)
         value = chi_lc * (-1 + legendre(qr.alpha, p) * lf.value)
-        return SumValue(
-            value,
-            method="quartic_cross_ratio" + ("/oracle_small_p" if "oracle" in lf.method else ""),
-            parts=(("alpha", qr.alpha), ("beta", qr.beta), ("legendre_sum", lf.value)),
-        )
+        parts = (("alpha", qr.alpha), ("beta", qr.beta), ("legendre_sum", lf.value))
+        via = lf.method.split("/", 1)[1]
+        if via == "hasse_lift":
+            return SumValue(value, method="quartic_cross_ratio", parts=parts)
+        if via == "group_order":
+            parts += lf.parts
+        return SumValue(value, method=f"quartic_cross_ratio/{via}", parts=parts)
 
     # deflate the rational roots; q is the rootless cofactor
     q = list(mono.coeffs)
@@ -185,6 +203,9 @@ def quartic_reduce(f: FpPolynomial, seed: int = DEFAULT_SEED) -> SumValue:
 
     du = len(odd_part) - 1
     if du >= 3:
+        # squarefree: a root of multiplicity 2 would leave a quadratic q
+        if roots and p >= ec.GROUP_ORDER_MIN_P:
+            return _rational_root_cubic(mono, roots[0], chi_lc)
         raise NotSplitError(f"quartic does not split over F_{p}")
     if du == 0:
         s_u = p
@@ -192,6 +213,36 @@ def quartic_reduce(f: FpPolynomial, seed: int = DEFAULT_SEED) -> SumValue:
         s_u = eval_quadratic(odd_part[2], odd_part[1], odd_part[0], p).value
     corr = sum(legendre(_peval(odd_part, r, p), p) for r in mult)
     return SumValue(chi_lc * (s_u - corr), method="quartic_degenerate")
+
+
+def _rational_root_cubic(mono: FpPolynomial, r: int, chi_lc: int) -> SumValue:
+    """S(chi_lc * mono) for a monic squarefree quartic with the rational root r.
+
+    x = r + 1/t maps F_p^* onto F_p minus {r}, where mono vanishes, and
+    g(t) = t^4 mono(r + 1/t) is the cubic whose coefficients are the Taylor
+    coefficients of mono at r, reversed; so S(mono) = S(g) - chi(g(0)),
+    with g(0) = 1.
+    """
+    p = mono.p
+    b = list(mono.coeffs)  # Horner's shift: b becomes the coefficients of mono(x + r)
+    for i in range(len(b)):
+        for j in range(len(b) - 2, i - 1, -1):
+            b[j] = (b[j] + r * b[j + 1]) % p
+    g = eval_cubic_group_order(FpPolynomial.make(mono.modulus, b[:0:-1]))
+    return SumValue(
+        chi_lc * (g.value - 1),
+        method="rational_root_cubic",
+        parts=(("root", r), ("a_p", -chi_lc * g.value), ("points", g.part("points"))),
+    )
+
+
+def eval_cubic_group_order(f: FpPolynomial) -> SumValue:
+    """S of a squarefree cubic from the group order of y^2 = f(x) (ec.cubic_sum)."""
+    if f.degree != 3:
+        raise ValueError("needs degree 3")
+    s, points = ec.cubic_sum(f.monic().coeffs, f.p)
+    value = legendre(f.leading, f.p) * s
+    return SumValue(value, method="cubic_group_order", parts=(("a_p", -value), ("points", points)))
 
 
 def eval_split_cubic(f: FpPolynomial, seed: int = DEFAULT_SEED) -> SumValue:
@@ -245,11 +296,13 @@ def eval_derived_gn(n: int, a: int, p, seed: int = DEFAULT_SEED) -> SumValue:
 
     Quartic families (n in {1,2,7}): S = A + S(f_n) with A the quadratic
     sum of f_n(x)/x.  Sextic families: S = S(x f_n) + S(f_n), the quartic
-    part through the cross-ratio reduction, falling back to the oracle
-    when x f_n does not split.
+    part through quartic_reduce: the cross-ratio reduction, or the
+    rational root 0 from ec.GROUP_ORDER_MIN_P on; below that it falls back
+    to the oracle when x f_n does not split.
     """
     p = as_modulus(p)
     cubic = eval_cubic_cm(n, a, p)
+    extra: tuple = ()
     if n in (1, 2, 7):
         qa, qb, qc = families.quadratic_part(n, a, p)
         head = eval_quadratic(qa, qb, qc, p)
@@ -259,13 +312,15 @@ def eval_derived_gn(n: int, a: int, p, seed: int = DEFAULT_SEED) -> SumValue:
         try:
             head = quartic_reduce(xf, seed=seed)
             method = "derived_sextic"
+            if head.method == "rational_root_cubic":
+                method, extra = "derived_sextic/rational_root_cubic", head.parts
         except NotSplitError:
-            head = char_sum_direct(xf)
+            head = SumValue(_oracle_fallback(xf.coeffs, p, "not_split"), method="oracle")
             method = "derived_sextic/oracle_fallback"
     return SumValue(
         head.value + cubic.value,
         method=method,
-        parts=(("head", head.value), ("cubic", cubic.value), ("u", cubic.part("u"))),
+        parts=(("head", head.value), ("cubic", cubic.value), ("u", cubic.part("u"))) + extra,
     )
 
 
@@ -273,20 +328,22 @@ def eval_form(params: families.FormParams, p, seed: int = DEFAULT_SEED) -> SumVa
     """S of a Legendre / Newton / Edwards form.
 
     The Legendre cubic goes straight to the trace lift; the quartics go
-    through the cross-ratio reduction (oracle fallback when the quartic
-    has no F_p splitting, e.g. Edwards with (d|p) = -1).
+    through quartic_reduce.  Their roots +-1/k (Newton) and +-c (Edwards)
+    are rational, so from ec.GROUP_ORDER_MIN_P on they never fall back;
+    below it a quartic with no F_p splitting (e.g. Edwards with
+    (d|p) = -1) falls back to the oracle.
     """
     p = as_modulus(p)
     poly = families.form_poly(params, p)
     if params.kind == "legendre":
         lf = hasse.legendre_form_sum(params.beta, p)
-        return SumValue(lf.value, method=f"form_legendre/{lf.method.split('/', 1)[1]}")
+        return SumValue(lf.value, method=f"form_legendre/{lf.method.split('/', 1)[1]}", parts=lf.parts)
     try:
         sv = quartic_reduce(poly, seed=seed)
         return SumValue(sv.value, method=f"form_{params.kind}/{sv.method}", parts=sv.parts)
     except NotSplitError:
         return SumValue(
-            char_sum_coeffs(poly.coeffs, p), method=f"form_{params.kind}/oracle_fallback"
+            _oracle_fallback(poly.coeffs, p, "not_split"), method=f"form_{params.kind}/oracle_fallback"
         )
 
 
@@ -488,12 +545,16 @@ def evaluate(f: FpPolynomial, method: str = "auto", seed: int = DEFAULT_SEED) ->
         return eval_quadratic(f.coeffs[2], f.coeffs[1], f.coeffs[0], p)
     try:
         if d == 3:
-            hit = _match_cubic_family(f.monic())
+            monic = f.monic()
+            hit = _match_cubic_family(monic)
             if hit is not None:
                 sv = eval_cubic_cm(hit[0], hit[1], p)
                 if f.leading == 1:
                     return sv
                 return SumValue(legendre(f.leading, p) * sv.value, method=sv.method, parts=sv.parts)
+            c0, c1, c2 = monic.coeffs[:3]
+            if p >= ec.GROUP_ORDER_MIN_P and cubic_discriminant_test(c2, c1, c0, p).symbol:
+                return eval_cubic_group_order(f)
             return eval_split_cubic(f, seed=seed)
         mono = _match_monomial_plus_const(f)
         if mono is not None and (p - 1) % (2 * mono[0]) == 0:
@@ -512,10 +573,10 @@ def evaluate(f: FpPolynomial, method: str = "auto", seed: int = DEFAULT_SEED) ->
     except NotSplitError:
         if method == "closed":
             raise
-        return SumValue(char_sum_coeffs(f.coeffs, p), method="oracle_fallback")
+        return SumValue(_oracle_fallback(f.coeffs, p, "not_split"), method="oracle_fallback")
     if method == "closed":
         raise NotSplitError(f"no closed form for degree {d} shape")
-    return SumValue(char_sum_coeffs(f.coeffs, p), method="oracle_fallback")
+    return SumValue(_oracle_fallback(f.coeffs, p, "no_closed_form"), method="oracle_fallback")
 
 
 def point_count(family: str, params: dict, p, method: str = "auto") -> tuple[PointCount, SumValue]:

@@ -16,6 +16,13 @@ class NotSplitError(CharsumError):
     """
 
 
+class TraceUndecidedError(CharsumError):
+    """The group-order search left more than one trace standing.
+
+    By Mestre's theorem this can happen only for p <= 229.
+    """
+
+
 class ConstraintViolation(CharsumError):
     """A named parameter constraint failed (e.g. beta in {0, 1})."""
 

@@ -22,6 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import ec
 from .algebra import FpPolynomial, as_modulus, centered_lift, inv_mod
 from .oracle import SumValue, char_sum_coeffs
 
@@ -103,15 +104,20 @@ def legendre_form_sum(beta: int, p) -> SumValue:
     """Exact S for the Legendre cubic x(x-1)(x-beta).
 
     For p >= 17 the trace lift is certified (|a_p| <= 2 sqrt(p) < p/2) and
-    S = -lift(H(beta)); smaller p delegate to direct summation.
+    S = -lift(H(beta)); smaller p delegate to direct summation.  From
+    ec.GROUP_ORDER_MIN_P on, the O(p) evaluation of H gives way to the
+    O(p^1/4) group-order search, which certifies the same a_p.
     """
     p = as_modulus(p)
     b = beta % p
     if b in (0, 1):
         raise ValueError("beta in {0, 1} is a degenerate curve")
+    coeffs = (0, b, (-(1 + b)) % p, 1)
     if p < 17:
-        coeffs = (0, b, (-(1 + b)) % p, 1)
         return SumValue(char_sum_coeffs(coeffs, p), method="legendre_form/oracle_small_p")
+    if p >= ec.GROUP_ORDER_MIN_P:
+        s, points = ec.cubic_sum(coeffs, p)
+        return SumValue(s, method="legendre_form/group_order", parts=(("a_p", -s), ("points", points)))
     ap = centered_lift(hasse_eval(b, p), p)
     return SumValue(-ap, method="legendre_form/hasse_lift", parts=(("a_p", ap),))
 

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from charsum.algebra import (
+    _MR_BASES,
     FpPolynomial,
     OddPrime,
     centered_lift,
@@ -12,6 +13,8 @@ from charsum.algebra import (
     kronecker,
     legendre,
     legendre_euler,
+    _strong_probable_prime,
+    next_prime,
     power_sum,
     roots_in_fp,
     sqrt_mod,
@@ -37,6 +40,30 @@ def test_is_prime_small():
         assert is_prime(n) == (n in primes)
     assert is_prime(2**61 - 1)
     assert not is_prime(2**61 + 1)
+
+
+def test_is_prime_rejects_the_pseudoprimes_at_the_tier_bounds():
+    # strong pseudoprimes to 2, 3, 5, 7 and to the first nine primes
+    assert _strong_probable_prime(3215031751, _MR_BASES[:4])
+    assert not is_prime(3215031751)
+    assert _strong_probable_prime(3825123056546413051, _MR_BASES[:9])
+    assert not is_prime(3825123056546413051)
+
+
+def test_tiered_is_prime_matches_all_twelve_bases():
+    rng = random.Random(63)
+    sample = []
+    for bits in range(6, 64):
+        sample += [rng.randrange(1 << (bits - 1), 1 << bits) | 1 for _ in range(40)]
+        sample += [next_prime(rng.randrange(1 << (bits - 1), 1 << bits)) for _ in range(5)]
+        # products of two primes near sqrt, the hardest composites for trial division
+        q = next_prime(rng.randrange(1 << (bits // 2 - 1), 1 << (bits // 2)))
+        sample.append(q * next_prime(q))
+    sample = [n for n in sample if n < 1 << 63]
+    for n in sample:
+        full = all(n % q for q in _MR_BASES) and _strong_probable_prime(n, _MR_BASES)
+        assert is_prime(n) == (full or n in _MR_BASES), n
+    assert sum(map(is_prime, sample)) > 250
 
 
 def test_legendre_examples():

@@ -164,3 +164,20 @@ def test_eval_f2_past_2_31(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["method"] == "cubic_cm/group_order" and payload["value"] != 0
+
+
+def test_eval_legendre_past_2_61(capsys):
+    # the supersingular flag comes from the sum's own a_p, with no Hasse table
+    p = 2305843009213694009  # 2^61 + 57
+    code, out, _ = run(capsys, "eval", "--family", "legendre", "--beta", "5", "--p", str(p), "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["method"] == "legendre_form/group_order"
+    assert payload["decomposition"]["a_p"] == -payload["value"] != 0
+    assert "supersingular" not in payload
+    # beta = -1 (x^3 - x) is supersingular exactly when p = 3 mod 4
+    p = 2305843009213693951  # 2^61 - 1
+    code, out, _ = run(capsys, "eval", "--family", "legendre", "--beta", str(p - 1), "--p", str(p), "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["value"] == 0 and payload["supersingular"] is True

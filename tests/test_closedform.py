@@ -309,3 +309,26 @@ def test_weil_audit_report():
     )
     empty = cf.weil_audit(p_max=2)
     assert all(info["worst_case"] is None for info in empty["families"].values())
+
+
+def test_oracle_fallbacks_log_their_reason_once(caplog):
+    # below the group-order crossover a quartic with no F_p splitting still
+    # falls back; each fallback logs one INFO record naming the reason
+    p = 7
+    quartic = FpPolynomial.make(p, [1, 0, 0, 1, 1])  # x^4 + x^3 + 1 has no root mod 7
+    edwards = families.FormParams(kind="edwards", c=1, d=3)  # (3|7) = -1
+    n, q = next((n, q) for q in primes_in(5, 200) for n in (3, 11)
+                if cf.eval_derived_gn(n, 1, q).method.endswith("oracle_fallback"))
+    calls = (
+        lambda: cf.evaluate(quartic),
+        lambda: cf.eval_form(edwards, p),
+        lambda: cf.eval_derived_gn(n, 1, q),
+    )
+    for call in calls:
+        caplog.clear()
+        with caplog.at_level("INFO", logger="charsum"):
+            sv = call()
+        assert sv.method.endswith("oracle_fallback")
+        records = [r for r in caplog.records if "oracle fallback" in r.getMessage()]
+        assert len(records) == 1 and records[0].levelname == "INFO"
+        assert "reason not_split" in records[0].getMessage()
